@@ -680,10 +680,10 @@ impl LazyGroupSim {
             )
         });
         let drained = self.network.heal_partition();
-        self.queue.schedule_batch_after(
-            SimDuration::ZERO,
-            drained.into_iter().map(|(to, msg)| Ev::Deliver { to, msg }),
-        );
+        for (to, msg) in drained {
+            self.queue
+                .schedule_after(SimDuration::ZERO, Ev::Deliver { to, msg });
+        }
     }
 
     /// Crash `node`: volatile state (lock table, in-flight transactions,
@@ -769,10 +769,10 @@ impl LazyGroupSim {
                 },
             )
         });
-        self.queue.schedule_batch_after(
-            SimDuration::ZERO,
-            inbound.into_iter().map(|msg| Ev::Deliver { to: node, msg }),
-        );
+        for msg in inbound {
+            self.queue
+                .schedule_after(SimDuration::ZERO, Ev::Deliver { to: node, msg });
+        }
         self.propagate(node);
     }
 
@@ -1406,10 +1406,10 @@ impl LazyGroupSim {
 
     fn reconnect(&mut self, node: NodeId) {
         let inbound = self.network.reconnect(node);
-        self.queue.schedule_batch_after(
-            SimDuration::ZERO,
-            inbound.into_iter().map(|msg| Ev::Deliver { to: node, msg }),
-        );
+        for msg in inbound {
+            self.queue
+                .schedule_after(SimDuration::ZERO, Ev::Deliver { to: node, msg });
+        }
         self.propagate(node);
     }
 

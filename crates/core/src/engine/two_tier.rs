@@ -18,9 +18,8 @@
 use crate::config::SimConfig;
 use crate::metrics::{Metrics, Report, M_PROPAGATION_LAG, M_RECONCILIATION_DELAY, M_RETRIES};
 use crate::op::{Op, Operation};
-use crate::serializability::{History, TxnRecord};
 use crate::txn::{Criterion, TxnSpec};
-use repl_check::{CriterionKind, Recorder};
+use repl_check::{CriterionKind, History, Recorder, TxnRecord};
 use repl_net::{DisconnectSchedule, Network, PeriodModel, SendOutcome};
 use repl_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use repl_storage::{
@@ -1313,7 +1312,7 @@ mod tests {
 
     #[test]
     fn base_execution_is_single_copy_serializable() {
-        use crate::serializability::Verdict;
+        use repl_check::Verdict;
         // High contention to make the check non-trivial.
         let cfg = base_cfg(
             6.0,

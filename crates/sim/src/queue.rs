@@ -3,55 +3,19 @@
 //! Events are ordered by `(time, sequence)`: ties at the same instant are
 //! delivered in scheduling order, which keeps runs deterministic.
 //!
-//! Internally this is a *calendar queue* (a bucketed timing wheel with
-//! an overflow list), not a binary heap. The engines schedule tens of
-//! thousands of near-future events per simulated run, and a heap pays
-//! `O(log n)` sift work on every operation; the calendar pays an index
-//! computation plus (usually) a back-of-deque append on insert and a
-//! `pop_front` on pop:
-//!
-//! - The wheel is [`NUM_BUCKETS`] ring slots of [`BUCKET_WIDTH_SHIFT`]
-//!   microseconds each (~1s of horizon). An event at absolute time `t`
-//!   lives in virtual bucket `t >> BUCKET_WIDTH_SHIFT`; the ring slot
-//!   is that index masked, and a slot only ever holds entries of the
-//!   single virtual bucket the cursor has not passed yet.
-//! - Each bucket is a deque kept sorted ascending by `(time, seq)`, so
-//!   the front is the bucket minimum. Inserts binary-search, with a
-//!   push-back fast path for the common in-order case.
-//! - Events beyond the wheel horizon (disconnect cycles, retry
-//!   backoffs) wait in an unsorted `overflow` list whose minimum is
-//!   tracked incrementally; whenever the cursor advances far enough
-//!   that an overflow event fits the wheel, the fitting events are
-//!   migrated into their buckets. The invariant — everything within
-//!   `cursor + NUM_BUCKETS` virtual buckets is *in* the wheel — makes
-//!   the first non-empty bucket at/after the cursor the global
-//!   minimum, found by scanning a 4-word occupancy bitmap.
-//!
-//! The same-timestamp tiebreak (monotone `seq`) is part of the sort
-//! key everywhere, so pop order is bit-for-bit identical to the old
-//! binary heap: `(time, seq)` ascending.
-//!
-//! One extra fast path: an engine can register its dominant constant
-//! delay as a *FIFO lane* ([`EventQueue::set_fifo_lane`]). The clock is
-//! monotone and the delay constant, so events scheduled `delay` after
-//! `now` are already in `(time, seq)` order — they go into a plain
-//! deque with O(1) push and pop, skipping the wheel entirely. Step
-//! events (one fixed service time after each other) are the bulk of
-//! simulation traffic, so most events never touch a bucket.
+//! The queue is a binary heap keyed by `(time, seq)`, plus one fast
+//! path: an engine can register its dominant constant delay as a *FIFO
+//! lane* ([`EventQueue::set_fifo_lane`]). The clock is monotone and the
+//! delay constant, so events scheduled `delay` after `now` arrive
+//! already in `(time, seq)` order. They go into a plain deque with O(1)
+//! push and pop and never pay the heap's `O(log n)` sift. The engines
+//! register their per-action service time, and step events are the
+//! bulk of simulation traffic. Every other event, including zero-delay
+//! deliveries and second-scale timers, goes through the heap.
 
 use crate::time::{SimDuration, SimTime};
-use std::cell::Cell;
-use std::collections::VecDeque;
-
-/// Ring slots in the wheel. Power of two so the slot mask is an AND.
-const NUM_BUCKETS: usize = 256;
-/// log2 of one bucket's width in microseconds (4.096ms). The engines'
-/// step and network delays are millisecond-scale, so a ~1s horizon
-/// (`NUM_BUCKETS << BUCKET_WIDTH_SHIFT`) keeps virtually all traffic
-/// on the wheel; only second-scale timers touch the overflow list.
-const BUCKET_WIDTH_SHIFT: u32 = 12;
-const SLOT_MASK: u64 = (NUM_BUCKETS as u64) - 1;
-const OCC_WORDS: usize = NUM_BUCKETS / 64;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -67,10 +31,21 @@ impl<E> Entry<E> {
     }
 }
 
-/// Virtual bucket index of an absolute timestamp.
-#[inline]
-fn bucket_index(t: SimTime) -> u64 {
-    t.0 >> BUCKET_WIDTH_SHIFT
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// A deterministic future-event list with a monotone clock.
@@ -80,21 +55,12 @@ fn bucket_index(t: SimTime) -> u64 {
 /// lifetimes. Popping advances the clock to the event's timestamp.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Ring of sorted buckets (front = minimum).
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// One bit per slot: set iff the slot is non-empty.
-    occupied: [u64; OCC_WORDS],
-    /// Virtual bucket index the cursor is draining. Monotone; stays
-    /// `<= bucket_index(now)`, and events cannot be scheduled in the
-    /// past, so nothing ever lands behind it.
-    cursor: u64,
-    /// Events at or beyond the wheel horizon, unsorted.
-    overflow: Vec<Entry<E>>,
-    /// `(bucket_index, time, seq)` of the overflow minimum, or
-    /// `(u64::MAX, ..)` when the overflow list is empty.
-    overflow_min: (u64, SimTime, u64),
-    /// Number of events waiting (wheel + overflow).
-    len: usize,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// The registered FIFO-lane delay, if any.
+    lane_delay: Option<SimDuration>,
+    /// Lane entries, ascending by `(time, seq)` by construction: `now`
+    /// is monotone and every entry was scheduled `lane_delay` after it.
+    lane: VecDeque<Entry<E>>,
     now: SimTime,
     /// Tie-break sequence for same-instant events. Monotone, never
     /// recycled. Overflow note: a `u64` at 10⁹ events per wall-clock
@@ -103,34 +69,6 @@ pub struct EventQueue<E> {
     /// [`EventQueue::schedule_at`]) so a hypothetical wrap cannot
     /// silently corrupt event ordering.
     seq: u64,
-    /// Lifetime count of scheduled events (telemetry). Same overflow
-    /// bound and guard as `seq`.
-    scheduled: u64,
-    /// The registered FIFO-lane delay, if any.
-    lane_delay: Option<SimDuration>,
-    /// Lane entries, ascending by `(time, seq)` by construction:
-    /// `now` is monotone and every entry was scheduled `lane_delay`
-    /// after it.
-    lane: VecDeque<Entry<E>>,
-    /// Memoized `(time, seq)` of the wheel/overflow minimum, so the
-    /// lane-vs-wheel comparison on every pop costs one load instead of
-    /// an occupancy-bitmap scan. Kept exact by `place` (a smaller key
-    /// lowers it) and invalidated to [`WheelMin::DIRTY`] by wheel pops
-    /// and migrations; `wheel_peek_key` recomputes on demand. `Cell`
-    /// because `peek_time` refreshes it through `&self`.
-    wheel_min: Cell<WheelMin>,
-}
-
-/// Cached wheel/overflow minimum: a key, [`WheelMin::EMPTY`], or
-/// [`WheelMin::DIRTY`] (unknown, recompute by scanning).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WheelMin(SimTime, u64);
-
-impl WheelMin {
-    /// No events outside the lane.
-    const EMPTY: WheelMin = WheelMin(SimTime(u64::MAX), u64::MAX);
-    /// Cache invalid; scan to recompute.
-    const DIRTY: WheelMin = WheelMin(SimTime(u64::MAX), u64::MAX - 1);
 }
 
 impl<E> Default for EventQueue<E> {
@@ -143,28 +81,19 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; OCC_WORDS],
-            cursor: 0,
-            overflow: Vec::new(),
-            overflow_min: (u64::MAX, SimTime::ZERO, 0),
-            len: 0,
-            now: SimTime::ZERO,
-            seq: 0,
-            scheduled: 0,
+            heap: BinaryHeap::new(),
             lane_delay: None,
             lane: VecDeque::new(),
-            wheel_min: Cell::new(WheelMin::EMPTY),
+            now: SimTime::ZERO,
+            seq: 0,
         }
     }
 
     /// Register `delay` as the FIFO lane: every subsequent
     /// [`EventQueue::schedule_after`] call with exactly this delay is
-    /// appended to a dedicated deque instead of the wheel. Because the
+    /// appended to a dedicated deque instead of the heap. Because the
     /// clock never goes backwards and the delay is constant, the lane
-    /// is sorted by construction — O(1) push and pop, no bucket
-    /// search. Engines register their per-action service time, which
-    /// dominates event traffic. Safe to call at any point; pop order
+    /// is sorted by construction. Safe to call at any point; pop order
     /// is unaffected.
     pub fn set_fifo_lane(&mut self, delay: SimDuration) {
         self.lane_delay = Some(delay);
@@ -178,128 +107,21 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() + self.lane.len()
     }
 
     /// Whether no events are waiting.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Total number of events scheduled over the queue's lifetime.
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// First occupied slot in ring order starting at the cursor's
-    /// slot, or `None` if the wheel is empty. Ring order from the
-    /// cursor is exactly ascending virtual-bucket order thanks to the
-    /// wheel invariant.
-    fn next_occupied_slot(&self) -> Option<usize> {
-        let start = (self.cursor & SLOT_MASK) as usize;
-        let (sw, sb) = (start / 64, start % 64);
-        let first = self.occupied[sw] & (!0u64 << sb);
-        if first != 0 {
-            return Some(sw * 64 + first.trailing_zeros() as usize);
-        }
-        for i in 1..=OCC_WORDS {
-            let w = (sw + i) % OCC_WORDS;
-            let word = if w == sw {
-                // Wrapped all the way around: the bits below the start.
-                self.occupied[w] & !(!0u64 << sb)
-            } else {
-                self.occupied[w]
-            };
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Virtual bucket index of an occupied `slot`, relative to the
-    /// cursor.
+    /// The next tie-break sequence number.
     #[inline]
-    fn virtual_of(&self, slot: usize) -> u64 {
-        let delta = (slot as u64).wrapping_sub(self.cursor) & SLOT_MASK;
-        self.cursor + delta
-    }
-
-    fn place(&mut self, entry: Entry<E>) {
-        let key = entry.key();
-        let idx = bucket_index(entry.time);
-        debug_assert!(idx >= self.cursor, "event scheduled behind the cursor");
-        if idx - self.cursor < NUM_BUCKETS as u64 {
-            let slot = (idx & SLOT_MASK) as usize;
-            let bucket = &mut self.buckets[slot];
-            // Sorted insert with a push-back fast path: bursts and
-            // monotone schedules (the overwhelmingly common case) never
-            // search.
-            match bucket.back() {
-                Some(last) if last.key() > entry.key() => {
-                    // Keys are unique (`seq` never repeats), so the
-                    // search always misses and `Err` is the insert
-                    // position.
-                    let at = bucket
-                        .binary_search_by(|e| e.key().cmp(&entry.key()))
-                        .unwrap_err();
-                    bucket.insert(at, entry);
-                }
-                _ => bucket.push_back(entry),
-            }
-            self.occupied[slot / 64] |= 1u64 << (slot % 64);
-        } else {
-            if (idx, entry.time, entry.seq) < self.overflow_min {
-                self.overflow_min = (idx, entry.time, entry.seq);
-            }
-            self.overflow.push(entry);
-        }
-        self.len += 1;
-        // A smaller key lowers the cached minimum; a dirty cache stays
-        // dirty (the next peek rescans anyway). Migration re-places
-        // overflow entries, whose keys are already accounted for, so
-        // re-running this is a harmless no-op.
-        let cached = self.wheel_min.get();
-        if cached != WheelMin::DIRTY && key < (cached.0, cached.1) {
-            self.wheel_min.set(WheelMin(key.0, key.1));
-        }
-    }
-
-    /// Pull every overflow event that now fits the wheel horizon into
-    /// its bucket, restoring the invariant after a cursor advance.
-    /// Rare (second-scale timers only), so the linear re-scan of the
-    /// remainder is cheap.
-    #[cold]
-    fn migrate_overflow(&mut self) {
-        let horizon = self.cursor + NUM_BUCKETS as u64;
-        let mut pending = std::mem::take(&mut self.overflow);
-        self.overflow_min = (u64::MAX, SimTime::ZERO, 0);
-        for entry in pending.drain(..) {
-            if bucket_index(entry.time) < horizon {
-                self.len -= 1; // `place` re-counts it
-                self.place(entry);
-            } else {
-                let key = (bucket_index(entry.time), entry.time, entry.seq);
-                if key < self.overflow_min {
-                    self.overflow_min = key;
-                }
-                self.overflow.push(entry);
-            }
-        }
-        // Hand the drained allocation back so steady-state migration
-        // never allocates.
-        if self.overflow.capacity() < pending.capacity() {
-            std::mem::swap(&mut self.overflow, &mut pending);
-            self.overflow.extend(pending);
-        }
-    }
-
-    #[inline]
-    fn advance_cursor(&mut self, to: u64) {
-        self.cursor = to;
-        if self.overflow_min.0 < self.cursor + NUM_BUCKETS as u64 {
-            self.migrate_overflow();
-        }
+    fn next_seq(&mut self) -> u64 {
+        debug_assert!(self.seq != u64::MAX, "event sequence counter overflow");
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 
     /// Schedule `event` at the absolute time `at`. Scheduling in the past
@@ -311,227 +133,69 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at} < {}",
             self.now
         );
-        debug_assert!(self.seq != u64::MAX, "event sequence counter overflow");
         let time = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.scheduled += 1;
-        self.place(Entry { time, seq, event });
+        let seq = self.next_seq();
+        self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     /// Schedule `event` after `delay` from the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        if self.lane_delay == Some(delay) {
-            debug_assert!(self.seq != u64::MAX, "event sequence counter overflow");
-            let entry = Entry {
-                time: self.now + delay,
-                seq: self.seq,
-                event,
-            };
-            debug_assert!(
-                self.lane.back().is_none_or(|b| b.key() < entry.key()),
-                "lane order violated"
-            );
-            self.seq += 1;
-            self.scheduled += 1;
-            self.len += 1;
-            self.lane.push_back(entry);
+        if self.lane_delay != Some(delay) {
+            self.schedule_at(self.now + delay, event);
             return;
         }
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Schedule a burst of events at the absolute time `at`. Events
-    /// keep their iterator order at the shared instant (each gets the
-    /// next tie-break sequence number), exactly as if
-    /// [`EventQueue::schedule_at`] had been called per event — and
-    /// after the first insert the rest of the burst hits the sorted
-    /// bucket's push-back fast path.
-    pub fn schedule_batch_at(&mut self, at: SimTime, events: impl IntoIterator<Item = E>) {
+        let entry = Entry {
+            time: self.now + delay,
+            seq: self.next_seq(),
+            event,
+        };
         debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < {}",
-            self.now
+            self.lane.back().is_none_or(|b| b.key() < entry.key()),
+            "lane order violated"
         );
-        let time = at.max(self.now);
-        for event in events {
-            debug_assert!(self.seq != u64::MAX, "event sequence counter overflow");
-            let seq = self.seq;
-            self.seq += 1;
-            self.scheduled += 1;
-            self.place(Entry { time, seq, event });
-        }
+        self.lane.push_back(entry);
     }
 
-    /// Schedule a burst of events `delay` after the current time; see
-    /// [`EventQueue::schedule_batch_at`].
-    pub fn schedule_batch_after(
-        &mut self,
-        delay: SimDuration,
-        events: impl IntoIterator<Item = E>,
-    ) {
-        self.schedule_batch_at(self.now + delay, events);
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(front) = self.lane.front() {
-            let wheel_beats = matches!(self.wheel_peek_key(), Some(w) if w < front.key());
-            if !wheel_beats {
-                return Some(self.pop_lane());
-            }
-        }
-        self.pop_wheel()
-    }
-
-    /// Pop the lane front. Caller guarantees the lane is non-empty and
-    /// its front is the global minimum.
+    /// Timestamp of the next event and whether it sits in the lane.
     #[inline]
-    fn pop_lane(&mut self) -> (SimTime, E) {
-        let entry = self.lane.pop_front().expect("lane entry");
-        self.now = entry.time;
-        self.len -= 1;
-        let idx = bucket_index(entry.time);
-        if idx > self.cursor {
-            // Safe: every wheel and overflow key exceeds the popped
-            // lane key, so no bucket before `idx` holds anything — and
-            // keeping the cursor near `now` keeps future schedules on
-            // the wheel.
-            self.advance_cursor(idx);
-        }
-        (entry.time, entry.event)
-    }
-
-    /// Pop the wheel/overflow minimum. Caller guarantees at least one
-    /// event lives outside the lane.
-    fn pop_wheel(&mut self) -> Option<(SimTime, E)> {
-        debug_assert!(self.len > self.lane.len());
-        loop {
-            let Some(slot) = self.next_occupied_slot() else {
-                // Wheel empty but events remain: they are all in
-                // overflow. Jump the cursor to the overflow minimum's
-                // bucket; `advance_cursor` migrates it in.
-                debug_assert!(!self.overflow.is_empty());
-                self.advance_cursor(self.overflow_min.0);
-                continue;
-            };
-            let v = self.virtual_of(slot);
-            if v > self.cursor {
-                // Advancing may migrate overflow events in, but only
-                // from beyond the old horizon — all later than `v` —
-                // so the found slot stays the minimum; loop anyway for
-                // robustness.
-                self.advance_cursor(v);
-                continue;
-            }
-            let bucket = &mut self.buckets[slot];
-            let entry = bucket.pop_front().expect("occupied slot");
-            debug_assert!(
-                self.wheel_min.get() == WheelMin::DIRTY
-                    || (self.wheel_min.get().0, self.wheel_min.get().1) == entry.key(),
-                "stale wheel-min cache"
-            );
-            // The drained bucket is the minimal one, so its new front —
-            // if any — is the exact new wheel/overflow minimum.
-            match bucket.front() {
-                Some(next) => self.wheel_min.set(WheelMin(next.time, next.seq)),
-                None => {
-                    self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-                    self.wheel_min.set(WheelMin::DIRTY);
-                }
-            }
-            self.now = entry.time;
-            self.len -= 1;
-            return Some((entry.time, entry.event));
-        }
-    }
-
-    /// Pop the next event only if it occurs at or before `limit`.
-    /// If the next event is later, the clock advances to `limit` and
-    /// `None` is returned — used to cut a run off at a horizon. The
-    /// lane-vs-wheel choice is made once and shared by the horizon
-    /// test and the pop (this is the main loop's per-event call, so it
-    /// does not pay a peek *and* a pop).
-    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let lane_key = self.lane.front().map(Entry::key);
-        let wheel_key = self.wheel_peek_key();
-        let (key, from_lane) = match (lane_key, wheel_key) {
-            (Some(l), Some(w)) => {
-                if w < l {
-                    (w, false)
-                } else {
-                    (l, true)
-                }
-            }
-            (Some(l), None) => (l, true),
-            (None, Some(w)) => (w, false),
-            (None, None) => ((SimTime(u64::MAX), u64::MAX), true),
-        };
-        if self.len == 0 || key.0 > limit {
-            if self.now < limit {
-                self.now = limit;
-                // Every bucket strictly before `limit`'s could only
-                // hold events `<= limit`, so they are all empty and
-                // the cursor may skip ahead, re-arming the horizon
-                // for future near-`now` schedules.
-                let idx = bucket_index(limit);
-                if idx > self.cursor {
-                    self.advance_cursor(idx);
-                }
-            }
-            return None;
-        }
-        if from_lane {
-            Some(self.pop_lane())
-        } else {
-            self.pop_wheel()
-        }
-    }
-
-    /// `(time, seq)` of the wheel/overflow minimum, ignoring the lane.
-    /// Served from the memoized minimum when clean; a dirty cache pays
-    /// one occupancy-bitmap scan and is refreshed for the next caller.
-    fn wheel_peek_key(&self) -> Option<(SimTime, u64)> {
-        let cached = self.wheel_min.get();
-        if cached != WheelMin::DIRTY {
-            return (cached != WheelMin::EMPTY).then_some((cached.0, cached.1));
-        }
-        let key = match self.next_occupied_slot() {
-            // The wheel minimum beats any overflow event by the wheel
-            // invariant (overflow buckets lie beyond the horizon).
-            Some(slot) => self.buckets[slot].front().map(Entry::key),
-            None if self.len > self.lane.len() => Some((self.overflow_min.1, self.overflow_min.2)),
-            None => None,
-        };
-        self.wheel_min
-            .set(key.map_or(WheelMin::EMPTY, |k| WheelMin(k.0, k.1)));
-        key
-    }
-
-    /// Timestamp of the next event, if any. Engines use this with
-    /// [`EventQueue::pop_if_at`] to drain every event at one instant
-    /// without popping and re-pushing the first event of the next.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let wheel = self.wheel_peek_key();
-        let lane = self.lane.front().map(Entry::key);
-        match (wheel, lane) {
-            (Some(w), Some(l)) => Some(w.min(l).0),
-            (Some(w), None) => Some(w.0),
-            (None, Some(l)) => Some(l.0),
+    fn peek(&self) -> Option<(SimTime, bool)> {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(Reverse(h))) if h.key() < l.key() => Some((h.time, false)),
+            (Some(l), _) => Some((l.time, true)),
+            (None, Some(Reverse(h))) => Some((h.time, false)),
             (None, None) => None,
         }
     }
 
-    /// Pop the next event only if it is scheduled exactly at `at` —
-    /// the same-instant drain: `while let Some(e) = q.pop_if_at(now)`
-    /// consumes a flush's whole burst without touching later events.
-    pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
-        match self.peek_time() {
-            Some(t) if t == at => self.pop().map(|(_, e)| e),
-            _ => None,
+    /// Remove the next event, already located by [`EventQueue::peek`],
+    /// and advance the clock to it.
+    #[inline]
+    fn take(&mut self, from_lane: bool) -> (SimTime, E) {
+        let entry = if from_lane {
+            self.lane.pop_front().expect("lane is non-empty")
+        } else {
+            self.heap.pop().expect("heap is non-empty").0
+        };
+        self.now = entry.time;
+        (entry.time, entry.event)
+    }
+
+    /// Pop the next event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (_, from_lane) = self.peek()?;
+        Some(self.take(from_lane))
+    }
+
+    /// Pop the next event only if it occurs at or before `limit`.
+    /// If the next event is later, the clock advances to `limit` and
+    /// `None` is returned — used to cut a run off at a horizon.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        match self.peek() {
+            Some((time, from_lane)) if time <= limit => Some(self.take(from_lane)),
+            _ => {
+                self.now = self.now.max(limit);
+                None
+            }
         }
     }
 }
@@ -594,77 +258,37 @@ mod tests {
     }
 
     #[test]
-    fn batch_schedule_preserves_order_and_counters() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(5), 100);
-        q.schedule_batch_at(SimTime(5), [101, 102, 103]);
-        q.schedule_batch_after(SimDuration(5), [104]);
-        assert_eq!(q.total_scheduled(), 5);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        // Batched events interleave with singles by schedule order.
-        assert_eq!(order, vec![100, 101, 102, 103, 104]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_batch_at(SimTime(1), std::iter::empty());
-        assert!(q.is_empty());
-        assert_eq!(q.total_scheduled(), 0);
-    }
-
-    #[test]
-    fn pop_if_at_drains_one_instant_only() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(10), "a");
-        q.schedule_at(SimTime(10), "b");
-        q.schedule_at(SimTime(20), "later");
-        let (t, first) = q.pop().unwrap();
-        assert_eq!((t, first), (SimTime(10), "a"));
-        assert_eq!(q.pop_if_at(SimTime(10)), Some("b"));
-        // The event at 20 stays put and the clock has not advanced.
-        assert_eq!(q.pop_if_at(SimTime(10)), None);
-        assert_eq!(q.now(), SimTime(10));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn counters_track_activity() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
         q.schedule_at(SimTime(1), ());
-        q.schedule_at(SimTime(2), ());
+        q.set_fifo_lane(SimDuration(2));
+        q.schedule_after(SimDuration(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.total_scheduled(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime(1)));
+        q.pop();
+        assert_eq!(q.len(), 1);
     }
 
-    // -- calendar-specific coverage: the wheel must behave exactly
-    // like the old heap at every horizon boundary.
-
-    /// Events far beyond the wheel horizon (the overflow path) still
-    /// pop in global `(time, seq)` order, interleaved with wheel
-    /// events scheduled later.
+    /// Events far in the future still pop in global `(time, seq)`
+    /// order, interleaved with near events scheduled later.
     #[test]
     fn overflow_events_interleave_correctly() {
         let mut q = EventQueue::new();
-        let far = SimTime(10_000_000); // ~10s: well past the horizon
-        q.schedule_at(far, "overflow-a");
+        let far = SimTime(10_000_000);
+        q.schedule_at(far, "far-a");
         q.schedule_at(SimTime(100), "near");
-        q.schedule_at(far, "overflow-b");
-        q.schedule_at(far + SimDuration(1), "overflow-c");
+        q.schedule_at(far, "far-b");
+        q.schedule_at(far + SimDuration(1), "far-c");
         assert_eq!(q.pop().map(|(_, e)| e), Some("near"));
-        // After draining the wheel the cursor jumps to the overflow
-        // minimum and migrates; ties at `far` keep schedule order.
-        assert_eq!(q.pop(), Some((far, "overflow-a")));
-        assert_eq!(q.pop(), Some((far, "overflow-b")));
-        assert_eq!(q.pop(), Some((far + SimDuration(1), "overflow-c")));
+        // Ties at `far` keep schedule order.
+        assert_eq!(q.pop(), Some((far, "far-a")));
+        assert_eq!(q.pop(), Some((far, "far-b")));
+        assert_eq!(q.pop(), Some((far + SimDuration(1), "far-c")));
         assert!(q.pop().is_none());
     }
 
-    /// Scheduling near `now` after a large `pop_until` clock jump must
-    /// land on the wheel (the cursor re-arms), and ordering holds
-    /// across the jump.
+    /// Scheduling near `now` after a large `pop_until` clock jump is
+    /// relative to the new clock, and ordering holds across the jump.
     #[test]
     fn horizon_jump_then_near_schedule() {
         let mut q = EventQueue::new();
@@ -673,46 +297,34 @@ mod tests {
         assert_eq!(q.pop_until(SimTime(40_000_000)), None);
         assert_eq!(q.now(), SimTime(40_000_000));
         q.schedule_after(SimDuration(10), "soon");
-        assert_eq!(q.pop().map(|(_, e)| e), Some("soon"));
+        assert_eq!(q.pop(), Some((SimTime(40_000_010), "soon")));
         assert_eq!(q.pop(), Some((far, "sentinel")));
     }
 
-    /// `peek_time` sees the overflow minimum when the wheel is empty.
+    /// Lane events interleave with heap events in exact `(time, seq)`
+    /// order, including ties at one instant.
     #[test]
-    fn peek_reaches_into_overflow() {
-        let mut q = EventQueue::new();
-        let far = SimTime(123_456_789);
-        q.schedule_at(far, ());
-        assert_eq!(q.peek_time(), Some(far));
-        assert_eq!(q.pop_if_at(far), Some(()));
-        assert!(q.is_empty());
-    }
-
-    /// Lane events interleave with wheel and overflow events in exact
-    /// `(time, seq)` order, including ties at one instant.
-    #[test]
-    fn fifo_lane_interleaves_with_wheel() {
+    fn fifo_lane_interleaves_with_heap() {
         let mut q = EventQueue::new();
         q.set_fifo_lane(SimDuration(100));
         q.schedule_after(SimDuration(100), "lane-a"); // t=100 seq=0
-        q.schedule_at(SimTime(100), "wheel-tie"); // t=100 seq=1
-        q.schedule_at(SimTime(50), "wheel-early"); // t=50
+        q.schedule_at(SimTime(100), "heap-tie"); // t=100 seq=1
+        q.schedule_at(SimTime(50), "heap-early"); // t=50
         q.schedule_after(SimDuration(100), "lane-b"); // t=100 seq=3
-        q.schedule_at(SimTime(10_000_000), "overflow"); // far future
-        assert_eq!(q.peek_time(), Some(SimTime(50)));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("wheel-early"));
+        q.schedule_at(SimTime(10_000_000), "far"); // far future
+        assert_eq!(q.pop().map(|(_, e)| e), Some("heap-early"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("lane-a"));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("wheel-tie"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("heap-tie"));
         assert_eq!(q.pop().map(|(_, e)| e), Some("lane-b"));
         // After the pop at t=100, lane entries land at 200.
         q.schedule_after(SimDuration(100), "lane-c");
         assert_eq!(q.pop(), Some((SimTime(200), "lane-c")));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("overflow"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("far"));
         assert!(q.pop().is_none());
     }
 
-    /// A lane-only queue still honours `pop_until` horizons and
-    /// re-arms the wheel cursor for near-`now` schedules afterwards.
+    /// A lane-only queue still honours `pop_until` horizons, and lane
+    /// entries scheduled after a horizon cut are relative to it.
     #[test]
     fn fifo_lane_with_horizon_cuts() {
         let mut q = EventQueue::new();
@@ -728,10 +340,10 @@ mod tests {
     }
 
     /// Randomized differential test against a sorted reference model:
-    /// a long interleaving of schedules (near, far, bursts), pops and
-    /// horizon cuts must replay the reference exactly. A FIFO lane is
-    /// registered and exercised by one schedule flavour, so lane/wheel
-    /// interleavings get the same coverage.
+    /// a long interleaving of schedules (near, far, bursts, zero-delay
+    /// deliveries), pops and horizon cuts must replay the reference
+    /// exactly. A FIFO lane is registered and exercised by one schedule
+    /// flavour, so lane/heap interleavings get the same coverage.
     #[test]
     fn matches_reference_model_on_random_workload() {
         let mut rng = SimRng::new(0xCA1E_0D1E);
@@ -742,8 +354,8 @@ mod tests {
         let mut seq = 0u64;
         for step in 0..20_000u32 {
             match rng.next_u64() % 10 {
-                // Mostly schedules with a mix of spans: same-instant,
-                // sub-bucket, cross-bucket, cross-horizon.
+                // Mostly schedules with a mix of spans, from the same
+                // instant to tens of seconds ahead.
                 0..=4 => {
                     let span = match rng.next_u64() % 5 {
                         0 => 0,
@@ -765,13 +377,23 @@ mod tests {
                     seq += 1;
                     next_id += 1;
                 }
+                // Bursts at one instant: either a shared absolute time
+                // or the zero-delay deliveries of a heal or reconnect.
                 5 => {
                     let n = rng.next_u64() % 5;
-                    let at = q.now() + SimDuration(rng.next_u64() % 2_000_000);
-                    let ids: Vec<u32> = (0..n).map(|i| next_id + i as u32).collect();
-                    q.schedule_batch_at(at, ids.iter().copied());
-                    for id in ids {
-                        reference.push((at, seq, id));
+                    let zero_delay = rng.chance(0.5);
+                    let at = if zero_delay {
+                        q.now()
+                    } else {
+                        q.now() + SimDuration(rng.next_u64() % 2_000_000)
+                    };
+                    for _ in 0..n {
+                        if zero_delay {
+                            q.schedule_after(SimDuration::ZERO, next_id);
+                        } else {
+                            q.schedule_at(at, next_id);
+                        }
+                        reference.push((at, seq, next_id));
                         seq += 1;
                         next_id += 1;
                     }

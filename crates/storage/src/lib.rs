@@ -11,8 +11,6 @@
 //! * [`lock`] — strict exclusive two-phase locking with FIFO queues and
 //!   immediate waits-for deadlock detection (§3's "locking detects
 //!   potential anomalies and converts them to waits or deadlocks"),
-//! * [`mvcc`] — the multi-version committed-read store the model's
-//!   "no read locks" assumption rests on,
 //! * [`shard`] — the sharded-keyspace layout ([`ShardMap`]): object→
 //!   shard assignment and shard→replica-set placement for partial
 //!   replication,
@@ -26,10 +24,8 @@
 
 #![warn(missing_docs)]
 
-pub mod div;
 pub mod hash;
 pub mod lock;
-pub mod mvcc;
 pub mod object;
 pub mod shard;
 pub mod slab;
@@ -38,9 +34,7 @@ pub mod tentative;
 pub mod version_vector;
 pub mod wal;
 
-pub use div::FastDivMod;
 pub use lock::{Acquire, DeadlockMode, LockManager, Mutation, TxnId};
-pub use mvcc::MvccStore;
 pub use object::{LamportClock, NodeId, ObjectId, Timestamp, Value, Versioned};
 pub use shard::ShardMap;
 pub use slab::TxnSlab;

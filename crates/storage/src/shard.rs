@@ -53,12 +53,6 @@ pub struct ShardMap {
     /// Signature bitsets for the master fan-out groups.
     host_sigs: Vec<u64>,
     words_per_sig: usize,
-    /// Strength-reduced divider for `shards` — `shard_of` runs on
-    /// every filter test and sampler draw.
-    shard_div: crate::div::FastDivMod,
-    /// Per-node divider by `hosted[n].len()` (1 for nodes hosting
-    /// nothing, whose mapping is never consulted), for `nth_hosted`.
-    hosted_div: Vec<crate::div::FastDivMod>,
 }
 
 impl ShardMap {
@@ -140,11 +134,6 @@ impl ShardMap {
                 next
             });
         }
-        let shard_div = crate::div::FastDivMod::new(u64::from(shards));
-        let hosted_div = hosted
-            .iter()
-            .map(|h| crate::div::FastDivMod::new(h.len().max(1) as u64))
-            .collect();
         ShardMap {
             shards,
             nodes,
@@ -159,8 +148,6 @@ impl ShardMap {
             host_group,
             host_sigs,
             words_per_sig: words,
-            shard_div,
-            hosted_div,
         }
     }
 
@@ -188,7 +175,7 @@ impl ShardMap {
     /// The shard an object belongs to.
     #[inline]
     pub fn shard_of(&self, id: ObjectId) -> u32 {
-        self.shard_div.rem(id.0) as u32
+        (id.0 % u64::from(self.shards)) as u32
     }
 
     /// Shard `s`'s replica set, sorted ascending. With `rf == nodes`
@@ -302,7 +289,8 @@ impl ShardMap {
 
     /// How many of the `db_size` objects `node` hosts.
     pub fn hosted_objects(&self, node: NodeId, db_size: u64) -> u64 {
-        let (full_rows, tail) = self.shard_div.div_rem(db_size);
+        let k = u64::from(self.shards);
+        let (full_rows, tail) = (db_size / k, db_size % k);
         let h = &self.hosted[node.0 as usize];
         let tail_hosted = h.iter().take_while(|&&s| u64::from(s) < tail).count() as u64;
         full_rows * h.len() as u64 + tail_hosted
@@ -315,8 +303,9 @@ impl ShardMap {
     #[inline]
     pub fn nth_hosted(&self, node: NodeId, i: u64) -> ObjectId {
         let h = &self.hosted[node.0 as usize];
-        let (row, r) = self.hosted_div[node.0 as usize].div_rem(i);
-        ObjectId(row * u64::from(self.shards) + u64::from(h[r as usize]))
+        let len = h.len() as u64;
+        let (row, r) = (i / len, (i % len) as usize);
+        ObjectId(row * u64::from(self.shards) + u64::from(h[r]))
     }
 }
 

@@ -73,12 +73,8 @@ pub struct ObjectStore {
 /// object ids to its packed slots.
 #[derive(Debug, Clone)]
 struct ShardLayout {
-    /// Total shard count `k` (objects in shard `id % k`), as a
-    /// strength-reduced divider — every sharded `get`/`set` divides by
-    /// it, so the hardware divide is paid once at construction.
-    shards: crate::div::FastDivMod,
-    /// Hosted width divider (`hosted.len()`), for the slot→id inverse.
-    width: crate::div::FastDivMod,
+    /// Total shard count `k` (objects in shard `id % k`).
+    shards: u64,
     /// This node's hosted shards, sorted ascending.
     hosted: Vec<u32>,
     /// `rank[s]` = index of shard `s` in `hosted`, `u32::MAX` if the
@@ -93,16 +89,15 @@ impl ShardLayout {
     /// no per-object table.
     #[inline]
     fn slot(&self, id: ObjectId) -> Option<usize> {
-        let (row, s) = self.shards.div_rem(id.0);
-        let r = self.rank[s as usize];
-        (r != u32::MAX).then(|| row as usize * self.hosted.len() + r as usize)
+        let r = self.rank[(id.0 % self.shards) as usize];
+        (r != u32::MAX).then(|| (id.0 / self.shards) as usize * self.hosted.len() + r as usize)
     }
 
     /// The object id stored in `slot` (inverse of [`ShardLayout::slot`]).
     #[inline]
     fn object_of(&self, slot: usize) -> ObjectId {
-        let (row, r) = self.width.div_rem(slot as u64);
-        ObjectId(row * self.shards.divisor() + u64::from(self.hosted[r as usize]))
+        let h = self.hosted.len();
+        ObjectId((slot / h) as u64 * self.shards + u64::from(self.hosted[slot % h]))
     }
 }
 
@@ -159,10 +154,7 @@ impl ObjectStore {
         let shards = map.shards();
         let hosted = map.hosted_shards(node).to_vec();
         let layout = ShardLayout {
-            shards: crate::div::FastDivMod::new(u64::from(shards)),
-            // A node hosting nothing has no slots, so the inverse is
-            // never consulted; 1 keeps construction total.
-            width: crate::div::FastDivMod::new(hosted.len().max(1) as u64),
+            shards: u64::from(shards),
             hosted,
             rank: (0..shards)
                 .map(|s| map.rank(node, s).unwrap_or(u32::MAX))
